@@ -197,7 +197,7 @@ def parse_representation(text: str) -> Representation:
             what = f"unknown fields {sorted(unknown)}" if unknown else f"missing fields {sorted(missing)}"
             raise ValueError(f"shape entry has {what}")
         vertex = entry["vertex"]
-        if not isinstance(vertex, int):
+        if not isinstance(vertex, int) or isinstance(vertex, bool):
             raise ValueError(f"vertex id must be an integer, got {vertex!r}")
         if vertex in shapes:
             raise ValueError(f"duplicate vertex id {vertex}")

@@ -9,7 +9,6 @@ of k order positions realizes every compulsory edge and no forbidden one.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -54,7 +53,7 @@ class Graph:
     edges: frozenset = frozenset()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValueError("vertex count must be a positive integer")
         norm = set()
         for edge in self.edges:
@@ -233,112 +232,142 @@ def orders_equivalent(a: LinearOrder, b: LinearOrder) -> bool:
     return b.perm in set(order_transforms(a.perm))
 
 
-def _prefix_violates(placed: list, adj: dict, patterns) -> bool:
-    """Check only the tuples whose maximum position is the new last entry.
+def _pattern_rule(p: Pattern):
+    """Compile p into the steps that extend a forbidden-next mask.
 
-    Sound because a pattern constrains just the induced ordered subgraph:
-    tuples fully inside the old prefix were checked when completed.
+    When vertex u is appended to a prefix, every occurrence of p whose
+    member k-1 is u and whose members 1..k-2 lie earlier in the prefix
+    forbids, as the next vertex anywhere later, each w that realizes the
+    pairs (a, k).  Returns (k, link of (k-1, k), steps): one step per
+    member 1..k-2, those paired with k first so their masks narrow the
+    candidate w early, the others last, where only their existence
+    matters.  A step is (member, nearest assigned member below, nearest
+    above, links to assigned members, link to k); a link is True for a
+    compulsory pair, False for a forbidden one, None for no pair.
     """
-    m = len(placed)
-    last = placed[m - 1]
-    for p in patterns:
-        k = p.k
-        if m < k:
-            continue
-        for combo in combinations(range(1, m), k - 1):
-            ok = True
-            for a, b in p.compulsory:
-                u = placed[combo[a - 1] - 1] if a < k else last
-                v = placed[combo[b - 1] - 1] if b < k else last
-                if v not in adj[u]:
-                    ok = False
-                    break
-            if ok:
-                for a, b in p.forbidden:
-                    u = placed[combo[a - 1] - 1] if a < k else last
-                    v = placed[combo[b - 1] - 1] if b < k else last
-                    if v in adj[u]:
-                        ok = False
-                        break
-            if ok:
-                return True
-    return False
+    link = dict.fromkeys(p.compulsory, True) | dict.fromkeys(p.forbidden, False)
+    k = p.k
+    assigned = {k - 1}
+    steps = []
+    for a in sorted(range(1, k - 1), key=lambda a: ((a, k) not in link, a)):
+        lower = max((b for b in assigned if b < a), default=0)
+        upper = min(b for b in assigned if b > a)
+        links = tuple((b, link[min(a, b), max(a, b)]) for b in sorted(assigned)
+                      if (min(a, b), max(a, b)) in link)
+        steps.append((a, lower, upper, links, link.get((a, k))))
+        assigned.add(a)
+    return k, link.get((k - 1, k)), tuple(steps)
 
 
-def _enumerate_branch(g: Graph, patterns, first: int | None,
-                      limit: int | None) -> list[tuple]:
-    adj = g.adjacency()
+def _avoiding_perms(g: Graph, patterns, accept) -> None:
+    """Pass each order of g avoiding every pattern, lexicographically, to
+    accept(perm) until it returns False.
+
+    Vertices are bits of ints.  Each prefix carries the mask of vertices
+    that may come next: unplaced, and not completing an occurrence when
+    appended.  Appending u narrows it once, by the vertices that complete
+    an occurrence whose member k-1 is u (see _pattern_rule), so a child
+    costs one bit test.  Sound and complete because a pattern constrains
+    only the induced ordered subgraph of its members.
+    """
     n = g.n
-    out: list[tuple] = []
+    if any(p.k == 1 for p in patterns):
+        return  # a single vertex realizes it
+    adj = [0] * (n + 1)
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    rules = [_pattern_rule(p) for p in patterns]
+    before = [0] * (n + 1)  # vertices placed before v, while v is placed
+    x = [0] * max((p.k for p in patterns), default=1)  # members by index
 
-    def extend(placed: list, used: set) -> bool:
-        if limit is not None and len(out) >= limit:
-            return False
-        if len(placed) == n:
-            out.append(tuple(placed))
-            return limit is None or len(out) < limit
-        for v in range(1, n + 1):
-            if v in used:
+    def grow(steps, i, w):
+        """The part of w that completes an occurrence with members x[..]."""
+        a, lower, upper, links, to_last = steps[i]
+        cand = before[x[upper]]
+        if lower:
+            cand &= ~(before[x[lower]] | 1 << x[lower])
+        for b, want in links:
+            cand &= adj[x[b]] if want else ~adj[x[b]]
+        last = i + 1 == len(steps)
+        found = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x[a] = c = low.bit_length() - 1
+            if to_last is None:  # only existence matters from here on
+                if last or grow(steps, i + 1, w):
+                    return w
                 continue
-            placed.append(v)
-            used.add(v)
-            if not _prefix_violates(placed, adj, patterns):
-                if not extend(placed, used):
-                    placed.pop()
-                    used.remove(v)
+            h = w & ~found & (adj[c] if to_last else ~adj[c])
+            if h:
+                found |= h if last else grow(steps, i + 1, h)
+        return found
+
+    perm: list = []
+
+    def extend(placed: int, allowed: int) -> bool:
+        cand = allowed
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            u = low.bit_length() - 1
+            before[u] = placed
+            perm.append(u)
+            if len(perm) == n:
+                if not accept(tuple(perm)):
                     return False
-            placed.pop()
-            used.remove(v)
+            else:
+                rest = allowed ^ low
+                for k, to_last, steps in rules:
+                    w = rest
+                    if to_last is not None:
+                        w &= adj[u] if to_last else ~adj[u]
+                    if w and steps:
+                        x[k - 1] = u
+                        w = grow(steps, 0, w)
+                    rest &= ~w
+                if rest and not extend(placed | low, rest):
+                    return False
+            perm.pop()
         return True
 
-    if first is None:
-        extend([], set())
-    else:
-        placed = [first]
-        if not _prefix_violates(placed, adj, patterns):
-            extend(placed, {first})
-    return out
+    extend(0, (1 << n + 1) - 2)
 
 
 def enumerate_avoiding_orders(g: Graph, patterns, limit: int | None = None,
                               dedupe_equivalence: bool = False,
-                              search_bound: int = 10,
-                              parallel: bool = False) -> list[LinearOrder]:
+                              search_bound: int = 10) -> list[LinearOrder]:
     """All (or up to limit) orders of g avoiding every pattern, lexicographic.
 
-    Backtracks over prefixes, checking at each extension only the new
-    tuples ending at the fresh position.  With dedupe_equivalence, keeps
-    the lexicographically first avoiding order of each shift/reversal
-    equivalence class.  With parallel=True the search tree is partitioned
-    by first-position choice; merged output is identical to sequential.
+    Backtracks over prefixes with int-bitset adjacency.  Each prefix
+    carries the mask of vertices that may be placed next without
+    completing an occurrence; appending a vertex narrows it once, from
+    the occurrences in which that vertex is the second-to-last member,
+    so a child is rejected by one bit test and no prefix is rescanned.
+    The rule is compiled from each pattern's compulsory and forbidden
+    pairs, so custom patterns take the same path.  With
+    dedupe_equivalence, keeps the lexicographically first avoiding order
+    of each shift/reversal equivalence class.  A limit of 0 or less
+    returns no orders.
     """
     if g.n > search_bound:
         raise SearchBoundExceeded(f"graph order {g.n} exceeds bound {search_bound}")
-    patterns = tuple(patterns)
-
-    if parallel:
-        # A partition cannot know which of its orders dedupe will keep,
-        # so it enumerates without limit when dedupe is requested.
-        branch_limit = None if dedupe_equivalence else limit
-        with ThreadPoolExecutor(max_workers=min(g.n, 8)) as pool:
-            futures = [pool.submit(_enumerate_branch, g, patterns, first, branch_limit)
-                       for first in range(1, g.n + 1)]
-            raw = [perm for fut in futures for perm in fut.result()]
-    else:
-        raw = _enumerate_branch(g, patterns, None,
-                                None if dedupe_equivalence else limit)
-
     out: list[LinearOrder] = []
+    if limit is not None and limit <= 0:
+        return out
     seen: set = set()
-    for perm in raw:
+
+    def accept(perm: tuple) -> bool:
         if dedupe_equivalence:
             key = canonical_order_key(perm)
             if key in seen:
-                continue
+                return True
             seen.add(key)
         out.append(LinearOrder(perm))
-        if limit is not None and len(out) >= limit:
-            break
+        return limit is None or len(out) < limit
+
+    _avoiding_perms(g, tuple(patterns), accept)
     return out
 
 

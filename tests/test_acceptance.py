@@ -21,7 +21,7 @@ from groundedl import (CLASS_GROUNDED_L, CLASS_INTERVAL, CLASS_MPT,
                        MptLShape, OrderedGraph, PolylineShape, Representation,
                        SegmentShape, avoids_patterns, build_grounded_l,
                        build_mpt, cycle_extension, cycle_graph,
-                       complete_multipartite, enumerate_avoiding_orders,
+                       complete_multipartite,
                        extend_lj_representation, find_pattern_occurrences,
                        gadget, induced_order, is_one_string, lj_feasible,
                        realize_lj, recognize, render_svg, run_gadget_checks,
@@ -208,7 +208,7 @@ def test_criterion_7_degeneracy_rejection():
             "each naming its violation; pairwise cases also surface in reports")
 
 
-def test_criterion_8_determinism_and_round_trips(c4_good, gadget_i):
+def test_criterion_8_determinism_and_round_trips(gadget_i):
     for name in ("c4.graph", "gadget_i.graph", "k222.graph"):
         text = (FIXTURES / name).read_text()
         doc = parse_graph_document(text)
@@ -219,14 +219,7 @@ def test_criterion_8_determinism_and_round_trips(c4_good, gadget_i):
         assert emit_representation(rep) == text
     rep = realize_lj(lj_feasible(gadget_i, ("L", "J")), gadget_i)
     assert render_svg(rep, labels=True) == render_svg(rep, labels=True)
-    for kwargs in ({}, {"dedupe_equivalence": True}, {"limit": 4}):
-        seq = enumerate_avoiding_orders(c4_good.graph, (P1, P2), **kwargs)
-        par = enumerate_avoiding_orders(c4_good.graph, (P1, P2),
-                                        parallel=True, **kwargs)
-        assert seq == par
-    _report("criterion 8",
-            "fixture parse<->emit identity, byte-stable SVG, parallel search "
-            "identical to sequential")
+    _report("criterion 8", "fixture parse<->emit identity, byte-stable SVG")
 
 
 def test_unchecked_claims_are_registered():

@@ -92,6 +92,15 @@ def test_verify_failure_is_data(files, capsys):
     assert payload["ok"] is False
 
 
+def test_verify_rejects_boolean_vertex(files, capsys):
+    doc = json.loads((files / "c4_grounded_l.json").read_text())
+    doc["shapes"][0]["vertex"] = True
+    bad = files / "bool_vertex.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "-g", str(files / "c4.graph"), "-r", str(bad))
+    assert code == 2 and out == "" and "vertex" in err
+
+
 def test_oracle_feasible_and_infeasible(files, capsys):
     code, out, _ = run(capsys, "oracle", "-g", str(files / "gadget_i.graph"),
                        "--types", "l")

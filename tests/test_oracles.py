@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -81,6 +81,51 @@ def test_certificates_realize_sampled_n6_n7():
             rep = realize_lj(cert, og)
             assert verify(rep, og).ok and is_one_string(rep)
     assert found >= 5
+
+
+def _brute_lj(og, allowed):
+    """Reference search: type vectors in product order (L before J), rank
+    vectors in permutations order; the first pair under which every edge
+    has a route, with its greedy cutoffs."""
+    n = og.n
+    pos_edges = og.position_edges()
+
+    def covered(types, r, i, j):
+        skipped = range(i + 1, j)
+        return ((types[i - 1] == "L" and r[i - 1] < r[j - 1]
+                 and all(r[k - 1] < r[i - 1] for k in skipped if (i, k) not in pos_edges))
+                or (types[j - 1] == "J" and r[j - 1] < r[i - 1]
+                    and all(r[k - 1] < r[j - 1] for k in skipped if (k, j) not in pos_edges)))
+
+    for types in product([t for t in "LJ" if t in allowed], repeat=n):
+        if any(types[i - 1] == "J" and types[j - 1] == "L" for i, j in pos_edges):
+            continue  # that edge has no route under any ranks
+        for ranks in permutations(range(1, n + 1)):
+            if all(covered(types, ranks, i, j) for i, j in pos_edges):
+                return types, ranks, greedy_cutoffs(types, ranks, pos_edges, n)
+    return None
+
+
+def _check_lj(og):
+    for allowed in (("L",), ("L", "J")):
+        cert = lj_feasible(og, allowed)
+        got = None if cert is None else (cert.types, cert.depth_ranks, cert.cutoffs)
+        assert got == _brute_lj(og, allowed), (sorted(og.position_edges()), allowed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lj_feasible_differential_all_ordered_graphs(n):
+    # with the natural order, every labelled graph is one ordered graph
+    for g in all_graphs(n):
+        _check_lj(natural(g))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.6, 0.85])
+def test_lj_feasible_differential_sampled_n7(p):
+    rng = random.Random(f"lj-n7-{p}")
+    pairs = list(combinations(range(1, 8), 2))
+    for _ in range(6):
+        _check_lj(natural(Graph(7, frozenset(rng.sample(pairs, round(p * len(pairs)))))))
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +32,8 @@ def test_graph_rejects_bad_edges():
         Graph(2, frozenset({(1, 3)}))
     with pytest.raises(ValueError):
         Graph(0)
+    with pytest.raises(ValueError):
+        Graph(True)
 
 
 def test_linear_order_validation():
@@ -213,6 +215,9 @@ def test_enumerate_limit(c4):
     out = enumerate_avoiding_orders(c4, (P1, P2), limit=3)
     assert len(out) == 3
     assert out == enumerate_avoiding_orders(c4, (P1, P2))[:3]
+    for dedupe in (False, True):
+        assert enumerate_avoiding_orders(c4, (P1, P2), limit=0,
+                                         dedupe_equivalence=dedupe) == []
 
 
 def test_enumerate_bound():
@@ -222,13 +227,78 @@ def test_enumerate_bound():
                                      search_bound=11)
 
 
-@pytest.mark.parametrize("kwargs", [
-    {},
-    {"dedupe_equivalence": True},
-    {"limit": 5},
-    {"limit": 2, "dedupe_equivalence": True},
-])
-def test_parallel_matches_sequential(c4, kwargs):
-    seq = enumerate_avoiding_orders(c4, (P1, P2), **kwargs)
-    par = enumerate_avoiding_orders(c4, (P1, P2), parallel=True, **kwargs)
-    assert seq == par
+# ----------------------------------------------------------------------
+# enumeration against brute force, every shipped pattern set
+# ----------------------------------------------------------------------
+
+PATTERN_SETS = ((P1, P2), (MPT_PAT,), (INT_PAT,))
+#: (limit, dedupe_equivalence) combinations checked per graph.
+ENUMERATION_MODES = ((None, False), (3, False), (None, True), (2, True))
+
+
+def _brute_avoiding(g, pattern_sets) -> list:
+    """Per pattern set, every permutation in lexicographic order that
+    avoids it, each tested as a whole."""
+    out = [[] for _ in pattern_sets]
+    for perm in permutations(range(1, g.n + 1)):
+        og = OrderedGraph(g, LinearOrder(perm))
+        for found, patterns in zip(out, pattern_sets):
+            if avoids_patterns(og, patterns):
+                found.append(perm)
+    return out
+
+
+def _expected(avoiding, limit, dedupe) -> list:
+    out, seen = [], set()
+    for p in avoiding:
+        if dedupe:
+            key = min(q[i:] + q[:i] for q in (p, p[::-1]) for i in range(len(p)))
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append(p)
+    return out if limit is None else out[:limit]
+
+
+def _check_enumeration(g, pattern_sets=PATTERN_SETS):
+    for patterns, avoiding in zip(pattern_sets, _brute_avoiding(g, pattern_sets)):
+        for limit, dedupe in ENUMERATION_MODES:
+            fast = [o.perm for o in enumerate_avoiding_orders(
+                g, patterns, limit=limit, dedupe_equivalence=dedupe)]
+            assert fast == _expected(avoiding, limit, dedupe), \
+                (sorted(g.edges), [p.name for p in patterns], limit, dedupe)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_enumerate_differential_all_graphs(n):
+    for g in all_graphs(n):
+        _check_enumeration(g)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.6, 0.75])
+def test_enumerate_differential_sampled_n7(p):
+    rng = random.Random(f"enumerate-n7-{p}")
+    pairs = list(combinations(range(1, 8), 2))
+    for _ in range(2):
+        _check_enumeration(Graph(7, frozenset(rng.sample(pairs, round(p * len(pairs))))))
+
+
+def test_enumerate_differential_custom_patterns():
+    # the forbidden-next mask rule is compiled from each pattern's pairs,
+    # so arbitrary patterns (orders 1..5, pairs absent, several members
+    # unrelated to the last) must match the brute force as well
+    rng = random.Random(59)
+    for _ in range(150):
+        k = rng.randint(1, 5)
+        comp, forb = set(), set()
+        for pair in combinations(range(1, k + 1), 2):
+            roll = rng.random()
+            if roll < 0.3:
+                comp.add(pair)
+            elif roll < 0.6:
+                forb.add(pair)
+        pattern = Pattern(k, frozenset(comp), frozenset(forb))
+        n = rng.randint(1, 6)
+        edges = frozenset(pair for pair in combinations(range(1, n + 1), 2)
+                          if rng.random() < 0.5)
+        _check_enumeration(Graph(n, edges), ((pattern,), (pattern, INT_PAT)))
