@@ -1,15 +1,20 @@
 """Text and JSON document formats.
 
 Graph documents are line-oriented: a header "n m", then m edge lines
-"u v", then optionally "order: p1 ... pn" and "names: a b c ...".
+"u v", then optionally "order: p1 ... pn" and "names: a b c ...";
+n is at most MAX_GRAPH_ORDER.
 Representation documents are JSON with every coordinate serialized as an
 exact rational string such as "3/2"; JSON numbers are rejected because
-they are floats and exactness is non-negotiable.
+they are floats and exactness is non-negotiable.  A literal has at most
+MAX_LITERAL_DIGITS decimal digits and a decimal exponent of at most
+MAX_EXPONENT in size, since verification cost grows with the size of
+the coordinates.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +30,19 @@ __all__ = [
     "emit_graph",
     "parse_representation",
     "emit_representation",
+    "MAX_GRAPH_ORDER",
+    "MAX_LITERAL_DIGITS",
+    "MAX_EXPONENT",
 ]
+
+#: Largest vertex count a graph document may declare.
+MAX_GRAPH_ORDER = 10_000
+#: Most decimal digits in one rational literal of a representation.
+MAX_LITERAL_DIGITS = 1_000
+#: Largest magnitude of a decimal exponent such as the 5 of "1e5".
+MAX_EXPONENT = 1_000
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
 
 
 @dataclass(frozen=True)
@@ -58,6 +75,8 @@ def parse_graph_document(text: str) -> GraphDocument:
         raise ValueError(f"header must be two integers, got {lines[0]!r}") from None
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
+    if n > MAX_GRAPH_ORDER:
+        raise ValueError(f"graph order {n} exceeds the limit {MAX_GRAPH_ORDER}")
     if len(lines) < 1 + m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -151,6 +170,12 @@ def _rational_str(value: Fraction) -> str:
 def _parse_rational(value) -> Fraction:
     if not isinstance(value, str):
         raise ValueError(f"coordinates must be rational strings, got {value!r}")
+    if sum(ch.isdigit() for ch in value) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"rational literal has more than {MAX_LITERAL_DIGITS} digits")
+    exponent = _EXPONENT.search(value)
+    if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"rational literal exponent {exponent.group(1)} exceeds "
+                         f"the limit {MAX_EXPONENT}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -183,6 +208,8 @@ def parse_representation(text: str) -> Representation:
     kind = doc["kind"]
     if kind not in KIND_TAGS:
         raise ValueError(f"unknown representation kind {kind!r}")
+    if not isinstance(doc["shapes"], list):
+        raise ValueError("'shapes' must be a list of shape objects")
     shapes = {}
     for entry in doc["shapes"]:
         if not isinstance(entry, dict):
@@ -203,7 +230,8 @@ def parse_representation(text: str) -> Representation:
             raise ValueError(f"duplicate vertex id {vertex}")
         if tag == "POLYLINE":
             pts = entry["points"]
-            if not isinstance(pts, list):
+            if not (isinstance(pts, list)
+                    and all(isinstance(p, list) and len(p) == 2 for p in pts)):
                 raise ValueError("points must be a list of [x, y] pairs")
             shape = PolylineShape(tuple(
                 (_parse_rational(p[0]), _parse_rational(p[1])) for p in pts))

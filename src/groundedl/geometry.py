@@ -1,16 +1,22 @@
 """Exact rational geometry for grounded intersection representations.
 
-All coordinates are ``fractions.Fraction`` values and every predicate is
-decided exactly; floats never enter a comparison.  Degenerate contact
-(touching, overlap, an endpoint on another curve) is an error, never a
-silently resolved case: general-position assumptions become validation
-rules here.
+Shapes take and return ``fractions.Fraction`` coordinates and every
+predicate is decided exactly; floats never enter a comparison.  The
+segment predicates only compare, subtract and multiply, so verify,
+intersection_graph and is_one_string run them on Python ints: each
+representation's segments are scaled once, by the LCM of all their
+denominators, which preserves every answer.  shape_crossings computes
+the crossing points in Fractions and is the reference the integer path
+is tested against.  Degenerate contact (touching, overlap, an endpoint
+on another curve) is an error, never a silently resolved case:
+general-position assumptions become validation rules here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import ClassVar
 
 from .ordered import Graph, LinearOrder, OrderedGraph
@@ -216,10 +222,10 @@ class PolylineShape:
                         raise DegeneracyError("polyline folds back onto itself")
                     continue
                 try:
-                    hit = _segment_crossing(segs[i], segs[j])
+                    hit = _crosses(segs[i], segs[j])
                 except DegeneracyError:
                     raise DegeneracyError("polyline self-intersection") from None
-                if hit is not None:
+                if hit:
                     raise DegeneracyError("polyline self-intersection")
 
     @property
@@ -310,11 +316,13 @@ def _between_closed(a, b, c) -> bool:
     return lox <= c[0] <= hix and loy <= c[1] <= hiy
 
 
-def _segment_crossing(s1, s2):
-    """Exact proper-crossing point of two segments, or None if disjoint.
+def _crosses(s1, s2) -> bool:
+    """True iff two segments cross properly, False if they are disjoint.
 
     Raises DegeneracyError for any touching, endpoint-on-segment, or
-    collinear-overlap configuration.
+    collinear-overlap configuration.  Only compares, subtracts and
+    multiplies coordinates, so ints and Fractions both stay exact and a
+    positive scaling of both segments never changes the answer.
     """
     p, q = s1
     r, s = s2
@@ -330,13 +338,9 @@ def _segment_crossing(s1, s2):
     if v1 and h2:
         return _hv_crossing(s2, s1)
     if h1 and h2:
-        if p[1] != r[1]:
-            return None
-        return _collinear_1d(p[0], q[0], r[0], s[0])
+        return p[1] == r[1] and _collinear_1d(p[0], q[0], r[0], s[0])
     if v1 and v2:
-        if p[0] != r[0]:
-            return None
-        return _collinear_1d(p[1], q[1], r[1], s[1])
+        return p[0] == r[0] and _collinear_1d(p[1], q[1], r[1], s[1])
 
     d1 = _orient(r, s, p)
     d2 = _orient(r, s, q)
@@ -347,7 +351,7 @@ def _segment_crossing(s1, s2):
         if _between_closed(r, s, p) or _between_closed(r, s, q) \
                 or _between_closed(p, q, r) or _between_closed(p, q, s):
             raise DegeneracyError("collinear segment overlap")
-        return None
+        return False
     if d1 == 0 and _between_closed(r, s, p):
         raise DegeneracyError("segment endpoint lies on another segment")
     if d2 == 0 and _between_closed(r, s, q):
@@ -356,13 +360,21 @@ def _segment_crossing(s1, s2):
         raise DegeneracyError("segment endpoint lies on another segment")
     if d4 == 0 and _between_closed(p, q, s):
         raise DegeneracyError("segment endpoint lies on another segment")
-    if (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0):
-        t = d1 / (d1 - d2)
-        return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-    return None
+    return (d1 > 0) != (d2 > 0) and (d3 > 0) != (d4 > 0)
 
 
-def _collinear_1d(a1, a2, b1, b2):
+def _segment_crossing(s1, s2):
+    """Exact crossing point of two Fraction segments, or None if they
+    are disjoint; raises like _crosses."""
+    if not _crosses(s1, s2):
+        return None
+    (p, q), (r, s) = s1, s2
+    d1 = _orient(r, s, p)
+    t = d1 / (d1 - _orient(r, s, q))
+    return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+
+
+def _collinear_1d(a1, a2, b1, b2) -> bool:
     """Two collinear segments projected to one axis: any closed overlap
     is degenerate, disjoint is no crossing."""
     if a1 > a2:
@@ -370,11 +382,11 @@ def _collinear_1d(a1, a2, b1, b2):
     if b1 > b2:
         b1, b2 = b2, b1
     if a2 < b1 or b2 < a1:
-        return None
+        return False
     raise DegeneracyError("collinear segment overlap")
 
 
-def _hv_crossing(h, v):
+def _hv_crossing(h, v) -> bool:
     """Horizontal segment h against vertical segment v, comparisons only."""
     (hx1, hy), (hx2, _) = h
     if hx1 > hx2:
@@ -383,9 +395,9 @@ def _hv_crossing(h, v):
     if vy1 > vy2:
         vy1, vy2 = vy2, vy1
     if vx < hx1 or vx > hx2 or hy < vy1 or hy > vy2:
-        return None
+        return False
     if hx1 < vx < hx2 and vy1 < hy < vy2:
-        return (vx, hy)
+        return True
     raise DegeneracyError("segment endpoint lies on another segment")
 
 
@@ -409,17 +421,34 @@ def shape_crossings(a, b) -> list:
     return points
 
 
+def _integer_segments(rep: Representation) -> list:
+    """(vertex, segments) per shape in vertex order, every coordinate
+    multiplied by the LCM of all the denominators: one exact positive
+    scaling to ints, under which every predicate keeps its answer."""
+    segs = [(v, rep.shapes[v].segments()) for v in sorted(rep.shapes)]
+    scale = lcm(*{c.denominator for _, ss in segs for seg in ss for pt in seg for c in pt})
+    return [(v, [tuple((x.numerator * (scale // x.denominator),
+                        y.numerator * (scale // y.denominator)) for x, y in seg)
+                 for seg in ss])
+            for v, ss in segs]
+
+
 def _pairwise_crossings(rep: Representation):
-    """Yield (u, v, crossings-or-None, degeneracy-message-or-None)."""
-    vertices = sorted(rep.shapes)
-    for i, u in enumerate(vertices):
-        for v in vertices[i + 1:]:
+    """Yield (u, v, crossing count, degeneracy message or None) for every
+    pair of shapes, u < v; the count is None for a degenerate pair."""
+    segs = _integer_segments(rep)
+    for i, (u, su) in enumerate(segs):
+        for v, sv in segs[i + 1:]:
+            count = 0
             try:
-                pts = shape_crossings(rep.shapes[u], rep.shapes[v])
+                for a in su:
+                    for b in sv:
+                        if _crosses(a, b):
+                            count += 1
             except DegeneracyError as exc:
                 yield u, v, None, str(exc)
             else:
-                yield u, v, pts, None
+                yield u, v, count, None
 
 
 def intersection_graph(rep: Representation) -> Graph:
@@ -427,10 +456,10 @@ def intersection_graph(rep: Representation) -> Graph:
     if not rep.shapes:
         raise ValueError("representation has no shapes")
     edges = set()
-    for u, v, pts, problem in _pairwise_crossings(rep):
+    for u, v, count, problem in _pairwise_crossings(rep):
         if problem is not None:
             raise DegeneracyError(f"shapes {u} and {v}: {problem}")
-        if pts:
+        if count:
             edges.add((u, v))
     return Graph(rep.n, frozenset(edges))
 
@@ -452,10 +481,10 @@ def verify(rep: Representation, og: OrderedGraph) -> VerificationReport:
         raise ValueError("representation and graph have different vertex sets")
     degeneracies = []
     edges = set()
-    for u, v, pts, problem in _pairwise_crossings(rep):
+    for u, v, count, problem in _pairwise_crossings(rep):
         if problem is not None:
             degeneracies.append(f"shapes {u} and {v}: {problem}")
-        elif pts:
+        elif count:
             edges.add((u, v))
     missing = tuple(sorted(og.graph.edges - edges))
     extra = tuple(sorted(edges - og.graph.edges))
@@ -466,10 +495,10 @@ def verify(rep: Representation, og: OrderedGraph) -> VerificationReport:
 
 def is_one_string(rep: Representation) -> bool:
     """True iff every pair of shapes crosses at most once."""
-    for u, v, pts, problem in _pairwise_crossings(rep):
+    for u, v, count, problem in _pairwise_crossings(rep):
         if problem is not None:
             raise DegeneracyError(f"shapes {u} and {v}: {problem}")
-        if len(pts) > 1:
+        if count > 1:
             return False
     return True
 

@@ -5,11 +5,18 @@ interface layer.  A pattern of order k constrains an induced ordered
 subgraph through a set of compulsory edges and a set of forbidden edges;
 an ordered graph contains the pattern if some strictly increasing tuple
 of k order positions realizes every compulsory edge and no forbidden one.
+
+One existence matcher on int-bitset adjacency (_completer) serves both
+avoids_patterns, which walks a given order, and enumerate_avoiding_orders,
+which grows orders and drops every prefix that an unplaced vertex would
+complete an occurrence with.  find_pattern_occurrences lists occurrences
+by brute force and is the reference the matcher is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 __all__ = [
@@ -41,28 +48,42 @@ class SearchBoundExceeded(ValueError):
     """An exhaustive search was asked to exceed its configured vertex bound."""
 
 
-@dataclass(frozen=True)
+#: One shared tuple per pair of small vertex ids, so that graphs kept in
+#: bulk hold references to these instead of copies of their own.
+_PAIRS = {(u, v): (u, v) for v in range(2, 17) for u in range(1, v)}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Undirected simple graph on vertices 1..n.
 
     Edges are stored as a frozenset of (u, v) pairs with u < v; input
-    pairs are normalized, self-loops and out-of-range endpoints rejected.
+    pairs are normalized; non-int (or bool) endpoints, self-loops and
+    out-of-range endpoints are rejected.
     """
 
     n: int
     edges: frozenset = frozenset()
+    _bits: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError("vertex count must be a positive integer")
         norm = set()
         for edge in self.edges:
             u, v = edge
+            if not (_is_int(u) and _is_int(v)):
+                raise ValueError(f"edge endpoints must be integers, got ({u!r}, {v!r})")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"edge ({u}, {v}) outside 1..{self.n}")
-            norm.add((u, v) if u < v else (v, u))
+            pair = (u, v) if u < v else (v, u)
+            norm.add(_PAIRS.get(pair, pair))
         object.__setattr__(self, "edges", frozenset(norm))
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -78,16 +99,30 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
+    def _adjacency_bits(self) -> tuple:
+        """Entry v is the int with bit u set for each neighbour u of v;
+        built on first use and kept, so repeated matching on one graph
+        pays for it once."""
+        if self._bits is None:
+            adj = [0] * (self.n + 1)
+            for u, v in self.edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            object.__setattr__(self, "_bits", tuple(adj))
+        return self._bits
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LinearOrder:
     """A permutation of 1..n, listed from first (leftmost) to last."""
 
     perm: tuple
 
     def __post_init__(self) -> None:
-        perm = tuple(self.perm)
-        object.__setattr__(self, "perm", perm)
+        perm = self.perm
+        if type(perm) is not tuple:
+            perm = tuple(perm)
+            object.__setattr__(self, "perm", perm)
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
 
@@ -105,7 +140,7 @@ class LinearOrder:
         return LinearOrder(tuple(reversed(self.perm)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderedGraph:
     """A graph together with a linear order on its vertices."""
 
@@ -113,7 +148,7 @@ class OrderedGraph:
     order: LinearOrder
 
     def __post_init__(self) -> None:
-        if len(self.order) != self.graph.n:
+        if len(self.order.perm) != self.graph.n:
             raise ValueError("order length differs from vertex count")
 
     @property
@@ -154,6 +189,10 @@ class Pattern:
                 raise ValueError(f"pair ({a}, {b}) outside 1..{self.k}")
         if comp & forb:
             raise ValueError("compulsory and forbidden sets overlap")
+
+    @cached_property
+    def _rule(self) -> tuple:
+        return _pattern_rule(self)
 
 
 #: Crossing pair with two left non-neighbors of the inner-left vertex.
@@ -205,8 +244,27 @@ def find_pattern_occurrences(og: OrderedGraph, pattern: Pattern,
 
 
 def avoids_patterns(og: OrderedGraph, patterns) -> bool:
-    """True iff og contains none of the given patterns."""
-    return all(not find_pattern_occurrences(og, p, limit=1) for p in patterns)
+    """True iff og contains none of the given patterns.
+
+    Walks og's order once through the existence matcher that order
+    enumeration uses (see _completer); find_pattern_occurrences stays
+    the brute-force reference.
+    """
+    perm = og.order.perm
+    before = [0] * (len(perm) + 1)
+    completes = _completer(og.graph._adjacency_bits(), patterns, before)
+    if completes is None:
+        return False
+    placed = 0
+    rest = (1 << len(perm) + 1) - 2
+    for u in perm:
+        bit = 1 << u
+        before[u] = placed
+        rest ^= bit
+        if rest and completes(u, rest):
+            return False
+        placed |= bit
+    return True
 
 
 def order_transforms(perm: tuple) -> list[tuple]:
@@ -233,17 +291,17 @@ def orders_equivalent(a: LinearOrder, b: LinearOrder) -> bool:
 
 
 def _pattern_rule(p: Pattern):
-    """Compile p into the steps that extend a forbidden-next mask.
+    """Compile p into the steps that look for an occurrence ending at a
+    given last member.
 
-    When vertex u is appended to a prefix, every occurrence of p whose
-    member k-1 is u and whose members 1..k-2 lie earlier in the prefix
-    forbids, as the next vertex anywhere later, each w that realizes the
-    pairs (a, k).  Returns (k, link of (k-1, k), steps): one step per
-    member 1..k-2, those paired with k first so their masks narrow the
-    candidate w early, the others last, where only their existence
-    matters.  A step is (member, nearest assigned member below, nearest
-    above, links to assigned members, link to k); a link is True for a
-    compulsory pair, False for a forbidden one, None for no pair.
+    With member k-1 fixed to a vertex u, the steps pick members 1..k-2
+    among the vertices placed before u, those paired with k first so
+    their adjacency narrows the candidates for k early, the others last,
+    where only their existence matters.  Returns (k, link of (k-1, k),
+    steps); a step is (member, nearest assigned member below, nearest
+    above, links to assigned members, link to k, whether it is the last
+    step), and a link is True for a compulsory pair, False for a
+    forbidden one, None for no pair.
     """
     link = dict.fromkeys(p.compulsory, True) | dict.fromkeys(p.forbidden, False)
     k = p.k
@@ -254,81 +312,102 @@ def _pattern_rule(p: Pattern):
         upper = min(b for b in assigned if b > a)
         links = tuple((b, link[min(a, b), max(a, b)]) for b in sorted(assigned)
                       if (min(a, b), max(a, b)) in link)
-        steps.append((a, lower, upper, links, link.get((a, k))))
+        steps.append((a, lower, upper, links, link.get((a, k)), len(assigned) == k - 2))
         assigned.add(a)
     return k, link.get((k - 1, k)), tuple(steps)
+
+
+def _completer(adj, patterns, before):
+    """The one pattern matcher: returns completes(u, rest), which is True
+    iff some vertex of the bitset rest, taken as member k, completes an
+    occurrence of a pattern whose member k-1 is u; or None if a pattern
+    has order 1, since a single vertex realizes it.
+
+    Vertices are bits of ints and adj[v] is v's neighbourhood.  The
+    caller places vertices one by one and sets before[v] to the set
+    placed ahead of v; members 1..k-2 are drawn from before[u], in
+    order.  The search stops at the first occurrence found.  Every
+    occurrence has exactly one member k-1, so asking once per placed
+    vertex, with rest the vertices after it, finds every occurrence.
+    """
+    rules = []
+    size = 1
+    for p in patterns:
+        if p.k == 1:
+            return None
+        if p.k > size:
+            size = p.k
+        rules.append(p._rule)
+    x = [0] * size  # members by index
+
+    def hit(steps, i, w):
+        """Do members i.. of steps exist, with some w as member k?"""
+        a, lower, upper, links, to_last, last = steps[i]
+        cand = before[x[upper]]
+        if lower:
+            cand &= ~(before[x[lower]] | 1 << x[lower])
+        for b, want in links:
+            cand &= adj[x[b]] if want else ~adj[x[b]]
+        if last and to_last is None:
+            return cand != 0  # w is never empty here
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            x[a] = c = low.bit_length() - 1
+            h = w if to_last is None else w & (adj[c] if to_last else ~adj[c])
+            if h and (last or hit(steps, i + 1, h)):
+                return True
+        return False
+
+    def completes(u: int, rest: int) -> bool:
+        ahead = before[u].bit_count()
+        for k, to_last, steps in rules:
+            if ahead < k - 2:
+                continue  # too few vertices ahead of u for members 1..k-2
+            w = rest if to_last is None else rest & (adj[u] if to_last else ~adj[u])
+            if w:
+                if not steps:
+                    return True
+                x[k - 1] = u
+                if hit(steps, 0, w):
+                    return True
+        return False
+
+    return completes
 
 
 def _avoiding_perms(g: Graph, patterns, accept) -> None:
     """Pass each order of g avoiding every pattern, lexicographically, to
     accept(perm) until it returns False.
 
-    Vertices are bits of ints.  Each prefix carries the mask of vertices
-    that may come next: unplaced, and not completing an occurrence when
-    appended.  Appending u narrows it once, by the vertices that complete
-    an occurrence whose member k-1 is u (see _pattern_rule), so a child
-    costs one bit test.  Sound and complete because a pattern constrains
-    only the induced ordered subgraph of its members.
+    Appending u to a prefix asks the matcher whether some unplaced vertex
+    completes an occurrence whose member k-1 is u.  If one does, the
+    prefix is dead: a pattern constrains only the relative order of its
+    members, so that vertex completes the occurrence wherever it comes
+    later.  So only live prefixes are extended, every unplaced vertex is
+    a valid next one, and a child costs no test of its own.
     """
     n = g.n
-    if any(p.k == 1 for p in patterns):
-        return  # a single vertex realizes it
-    adj = [0] * (n + 1)
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    rules = [_pattern_rule(p) for p in patterns]
     before = [0] * (n + 1)  # vertices placed before v, while v is placed
-    x = [0] * max((p.k for p in patterns), default=1)  # members by index
-
-    def grow(steps, i, w):
-        """The part of w that completes an occurrence with members x[..]."""
-        a, lower, upper, links, to_last = steps[i]
-        cand = before[x[upper]]
-        if lower:
-            cand &= ~(before[x[lower]] | 1 << x[lower])
-        for b, want in links:
-            cand &= adj[x[b]] if want else ~adj[x[b]]
-        last = i + 1 == len(steps)
-        found = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            x[a] = c = low.bit_length() - 1
-            if to_last is None:  # only existence matters from here on
-                if last or grow(steps, i + 1, w):
-                    return w
-                continue
-            h = w & ~found & (adj[c] if to_last else ~adj[c])
-            if h:
-                found |= h if last else grow(steps, i + 1, h)
-        return found
-
+    completes = _completer(g._adjacency_bits(), patterns, before)
+    if completes is None:
+        return
     perm: list = []
 
-    def extend(placed: int, allowed: int) -> bool:
-        cand = allowed
+    def extend(placed: int, unplaced: int) -> bool:
+        cand = unplaced
         while cand:
             low = cand & -cand
             cand ^= low
             u = low.bit_length() - 1
             before[u] = placed
             perm.append(u)
-            if len(perm) == n:
+            rest = unplaced ^ low
+            if not rest:
                 if not accept(tuple(perm)):
                     return False
-            else:
-                rest = allowed ^ low
-                for k, to_last, steps in rules:
-                    w = rest
-                    if to_last is not None:
-                        w &= adj[u] if to_last else ~adj[u]
-                    if w and steps:
-                        x[k - 1] = u
-                        w = grow(steps, 0, w)
-                    rest &= ~w
-                if rest and not extend(placed | low, rest):
-                    return False
+            elif not completes(u, rest) and not extend(placed | low, rest):
+                return False
             perm.pop()
         return True
 
@@ -340,13 +419,13 @@ def enumerate_avoiding_orders(g: Graph, patterns, limit: int | None = None,
                               search_bound: int = 10) -> list[LinearOrder]:
     """All (or up to limit) orders of g avoiding every pattern, lexicographic.
 
-    Backtracks over prefixes with int-bitset adjacency.  Each prefix
-    carries the mask of vertices that may be placed next without
-    completing an occurrence; appending a vertex narrows it once, from
-    the occurrences in which that vertex is the second-to-last member,
-    so a child is rejected by one bit test and no prefix is rescanned.
-    The rule is compiled from each pattern's compulsory and forbidden
-    pairs, so custom patterns take the same path.  With
+    Backtracks over prefixes with int-bitset adjacency.  Appending a
+    vertex runs one existence search, for occurrences in which that
+    vertex is the second-to-last member and some unplaced vertex the
+    last; a prefix with one is dead and is not extended, so no prefix is
+    rescanned and no child needs a test of its own.  The search is
+    compiled from each pattern's compulsory and forbidden pairs, so
+    custom patterns take the same path.  With
     dedupe_equivalence, keeps the lexicographically first avoiding order
     of each shift/reversal equivalence class.  A limit of 0 or less
     returns no orders.

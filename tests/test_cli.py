@@ -145,3 +145,33 @@ def test_usage_error_bad_format(tmp_path, capsys):
     bad.write_text("2 1\n1 3\n")
     code, _, err = run(capsys, "match", "-g", str(bad), "-p", "P1")
     assert code == 2 and "outside" in err
+
+
+def _c4_rep_with(files, edit) -> str:
+    doc = json.loads((files / "c4_grounded_l.json").read_text())
+    edit(doc)
+    path = files / "hostile.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.update(shapes=5), "'shapes' must be a list"),
+    (lambda d: d["shapes"][0].update(reach="1e999999999"), "exponent 999999999 exceeds"),
+    (lambda d: d["shapes"][0].update(reach="1" * 1001), "more than 1000 digits"),
+    (lambda d: d.update(kind="GROUNDED_STRING", shapes=[
+        {"vertex": 1, "tag": "POLYLINE", "points": [1, 2]}]), "points must be"),
+])
+def test_verify_hostile_representation_exits_2(files, capsys, edit, message):
+    code, out, err = run(capsys, "verify", "-g", str(files / "c4.graph"),
+                         "-r", _c4_rep_with(files, edit))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_match_huge_header_exits_2(tmp_path, capsys):
+    bad = tmp_path / "huge.graph"
+    bad.write_text("99999999999 0\n")
+    code, out, err = run(capsys, "match", "-g", str(bad), "-p", "P1")
+    assert code == 2 and out == ""
+    assert err == "error: graph order 99999999999 exceeds the limit 10000\n"

@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from groundedl import (GROUNDED_L, GROUNDED_LJ, GROUNDED_SEG, GROUNDED_STRING,
                        MPT, DegeneracyError, Graph, JShape, LinearOrder, LShape,
                        MptLShape, OrderedGraph, PolylineShape, Representation,
                        SegmentShape, build_grounded_l, coord, induced_order,
                        intersection_graph, is_one_string, scale_representation,
-                       shape_crossings, verify)
+                       build_mpt, shape_crossings, verify)
+from groundedl.geometry import _pairwise_crossings
+from conftest import all_graphs, natural
 
 F = Fraction
 
@@ -204,3 +208,91 @@ def test_segment_representation_verifies():
     og = OrderedGraph(Graph(3, frozenset({(1, 2), (1, 3), (2, 3)})),
                       LinearOrder((1, 2, 3)))
     assert verify(rep, og).ok
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against the Fraction reference, pair by pair
+# ----------------------------------------------------------------------
+
+def _reference_crossings(rep) -> list:
+    """(u, v, crossing count or None, degeneracy message or None) per
+    pair, from shape_crossings on the unscaled Fraction shapes."""
+    out = []
+    vertices = sorted(rep.shapes)
+    for i, u in enumerate(vertices):
+        for v in vertices[i + 1:]:
+            try:
+                out.append((u, v, len(shape_crossings(rep.shapes[u], rep.shapes[v])), None))
+            except DegeneracyError as exc:
+                out.append((u, v, None, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_integer_kernel_matches_reference_on_builds(n):
+    for g in all_graphs(n):
+        og = natural(g)
+        for rep in (build_grounded_l(og), build_mpt(og)):
+            assert list(_pairwise_crossings(rep)) == _reference_crossings(rep)
+
+
+#: Few values with coprime, non-dyadic denominators, and fewer depths:
+#: shapes drawn from them often touch, share endpoints and depths, or
+#: overlap collinearly.
+GRID = sorted({F(i, d) for i in range(-4, 9) for d in (1, 3, 7)})
+POSITIVE = [x for x in GRID if x > 0]
+DEPTHS = [F(1, 3), F(1), F(5, 3), F(15, 7)]
+
+anchors = st.sampled_from(GRID)
+depths = st.sampled_from(DEPTHS)
+l_shapes = st.builds(lambda a, d, e: LShape(a, d, a + e),
+                     anchors, depths, st.sampled_from(POSITIVE))
+j_shapes = st.builds(lambda a, d, e: JShape(a, d, a - e),
+                     anchors, depths, st.sampled_from(POSITIVE))
+segments = st.builds(lambda a, x, y: SegmentShape(a, x, -y),
+                     anchors, st.sampled_from(GRID), depths)
+below = st.tuples(st.sampled_from(GRID), depths.map(lambda y: -y))
+
+
+@st.composite
+def polylines(draw):
+    pts = ((draw(anchors), 0), *draw(st.lists(below, min_size=1, max_size=3)))
+    try:
+        return PolylineShape(pts)
+    except DegeneracyError:
+        assume(False)
+
+
+@st.composite
+def mpt_shapes(draw):
+    b = draw(st.sampled_from(POSITIVE))
+    top = draw(st.sampled_from([x for x in GRID if -b < x <= 0]))
+    return MptLShape(b, b + draw(st.sampled_from(POSITIVE)), top)
+
+
+@st.composite
+def representations(draw):
+    if draw(st.booleans()):
+        kind, shape = GROUNDED_STRING, st.one_of(l_shapes, j_shapes, segments, polylines())
+    else:
+        kind, shape = MPT, mpt_shapes()
+    shapes = draw(st.lists(shape, min_size=2, max_size=5,
+                           unique_by=lambda s: s.ground_x))
+    return Representation(kind, dict(enumerate(shapes, start=1)))
+
+
+def _strings(*shapes) -> Representation:
+    return Representation(GROUNDED_STRING, dict(enumerate(shapes, start=1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(representations())
+# collinear overlaps, which random draws rarely reach before a touch:
+# horizontal, slanted, and vertical pieces, after a proper crossing
+@example(_strings(PolylineShape(((1, 0), (0, -1), (5, -1))),
+                  PolylineShape(((7, 0), (6, -1), (3, -1)))))
+@example(_strings(SegmentShape(0, 3, -3), PolylineShape(((5, 0), (4, -4), (2, -2)))))
+@example(_strings(PolylineShape(((4, 0), (1, -3), (1, F(-1, 2)))),
+                  PolylineShape(((1, 0), (1, -1), (3, -2)))))
+def test_integer_kernel_matches_reference_on_touching_shapes(rep):
+    assert list(_pairwise_crossings(rep)) == _reference_crossings(rep)

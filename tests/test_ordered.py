@@ -26,6 +26,9 @@ def test_graph_normalizes_edges():
 
 
 def test_graph_rejects_bad_edges():
+    for bad in ((True, 2), (2.0, 3), ("1", 2), (1, False)):
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            Graph(3, frozenset({bad}))
     with pytest.raises(ValueError):
         Graph(3, frozenset({(1, 1)}))
     with pytest.raises(ValueError):
@@ -102,16 +105,47 @@ def test_occurrences_lexicographic_and_limit():
     assert len(limited) == 1 and limited[0].positions == all_matches[0]
 
 
+def _brute_avoids(og, patterns) -> bool:
+    """Reference: no pattern has an occurrence among all position tuples."""
+    return not any(find_pattern_occurrences(og, p, limit=1) for p in patterns)
+
+
+def _random_pattern(rng) -> Pattern:
+    """Order 1..5, each pair compulsory, forbidden or absent."""
+    k = rng.randint(1, 5)
+    comp, forb = set(), set()
+    for pair in combinations(range(1, k + 1), 2):
+        roll = rng.random()
+        if roll < 0.3:
+            comp.add(pair)
+        elif roll < 0.6:
+            forb.add(pair)
+    return Pattern(k, frozenset(comp), frozenset(forb))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_avoids_matches_brute_force_all_graphs(n):
+    # natural orders of all labelled graphs cover every ordered graph
+    for g in all_graphs(n):
+        og = natural(g)
+        for patterns in ((P1,), (P2,), (MPT_PAT,), (INT_PAT,), (P1, P2), ()):
+            assert avoids_patterns(og, patterns) == _brute_avoids(og, patterns), \
+                (sorted(g.edges), [p.name for p in patterns])
+
+
 def test_avoids_iff_no_occurrence():
     rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randint(1, 6)
+    for _ in range(400):
+        n = rng.randint(1, 7)
         edges = frozenset((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
                           if rng.random() < 0.5)
         og = OrderedGraph(Graph(n, edges),
                           LinearOrder(tuple(rng.sample(range(1, n + 1), n))))
-        for p in (P1, P2, MPT_PAT, INT_PAT):
-            assert (find_pattern_occurrences(og, p) == []) == avoids_patterns(og, (p,))
+        patterns = (_random_pattern(rng),) + tuple(
+            rng.sample((P1, P2, MPT_PAT, INT_PAT), rng.randint(0, 2)))
+        for p in patterns:
+            assert avoids_patterns(og, (p,)) == _brute_avoids(og, (p,))
+        assert avoids_patterns(og, patterns) == _brute_avoids(og, patterns)
 
 
 def test_matching_invariant_under_order_preserving_relabel():
@@ -182,7 +216,7 @@ def test_enumerate_matches_brute_force(n):
     for g in all_graphs(n):
         fast = [o.perm for o in enumerate_avoiding_orders(g, (P1, P2))]
         brute = [p for p in permutations(range(1, n + 1))
-                 if avoids_patterns(OrderedGraph(g, LinearOrder(p)), (P1, P2))]
+                 if _brute_avoids(OrderedGraph(g, LinearOrder(p)), (P1, P2))]
         assert fast == brute
 
 
@@ -195,7 +229,7 @@ def test_enumerate_matches_brute_force_sampled(n, samples):
         g = Graph(n, edges)
         fast = [o.perm for o in enumerate_avoiding_orders(g, (P1, P2))]
         brute = [p for p in permutations(range(1, n + 1))
-                 if avoids_patterns(OrderedGraph(g, LinearOrder(p)), (P1, P2))]
+                 if _brute_avoids(OrderedGraph(g, LinearOrder(p)), (P1, P2))]
         assert fast == brute
 
 
@@ -243,7 +277,7 @@ def _brute_avoiding(g, pattern_sets) -> list:
     for perm in permutations(range(1, g.n + 1)):
         og = OrderedGraph(g, LinearOrder(perm))
         for found, patterns in zip(out, pattern_sets):
-            if avoids_patterns(og, patterns):
+            if _brute_avoids(og, patterns):
                 found.append(perm)
     return out
 
@@ -284,20 +318,12 @@ def test_enumerate_differential_sampled_n7(p):
 
 
 def test_enumerate_differential_custom_patterns():
-    # the forbidden-next mask rule is compiled from each pattern's pairs,
+    # the existence matcher is compiled from each pattern's pairs,
     # so arbitrary patterns (orders 1..5, pairs absent, several members
     # unrelated to the last) must match the brute force as well
     rng = random.Random(59)
     for _ in range(150):
-        k = rng.randint(1, 5)
-        comp, forb = set(), set()
-        for pair in combinations(range(1, k + 1), 2):
-            roll = rng.random()
-            if roll < 0.3:
-                comp.add(pair)
-            elif roll < 0.6:
-                forb.add(pair)
-        pattern = Pattern(k, frozenset(comp), frozenset(forb))
+        pattern = _random_pattern(rng)
         n = rng.randint(1, 6)
         edges = frozenset(pair for pair in combinations(range(1, n + 1), 2)
                           if rng.random() < 0.5)
