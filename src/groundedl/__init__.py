@@ -20,8 +20,8 @@ from .geometry import (Coord, coord, DegeneracyError, LShape, JShape,
                        is_one_string, scale_representation)
 from .builders import DepthLedger, build_grounded_l, build_mpt, realize_lj
 from .oracles import (LjCertificate, RecognitionResult, lj_feasible, recognize,
-                      seg_witness_search, CLASS_GROUNDED_L, CLASS_MPT,
-                      CLASS_INTERVAL, CLASS_GROUNDED_LJ)
+                      CLASS_GROUNDED_L, CLASS_MPT, CLASS_INTERVAL,
+                      CLASS_GROUNDED_LJ)
 from .extensions import (CycleExtension, ConstructionFailed, cycle_extension,
                          extend_lj_representation, mirror_ordered,
                          concat_ordered, mirror_representation,

@@ -21,7 +21,8 @@ from .geometry import verify
 from .oracles import (CLASS_GROUNDED_L, CLASS_GROUNDED_LJ, CLASS_INTERVAL,
                       CLASS_MPT, lj_feasible, recognize)
 from .ordered import (INT_PAT, MPT_PAT, P1, P2, SearchBoundExceeded,
-                      enumerate_avoiding_orders, find_pattern_occurrences)
+                      avoids_patterns, enumerate_avoiding_orders,
+                      find_pattern_occurrences)
 from .svg import render_svg
 
 PATTERNS = {"P1": P1, "P2": P2, "MPT": MPT_PAT, "INT": INT_PAT}
@@ -48,6 +49,9 @@ def _dump(obj) -> None:
 def cmd_match(args) -> int:
     og = _load_graph(args.graph)
     pattern = PATTERNS[args.pattern]
+    if avoids_patterns(og, (pattern,)):
+        # the brute-force listing below tries every position tuple
+        return 1
     limit = None if args.all else 1
     matches = find_pattern_occurrences(og, pattern, limit=limit)
     for m in matches:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .geometry import (GROUNDED_L, GROUNDED_LJ, GROUNDED_SEG,
-                       GROUNDED_STRING, JShape, LShape, PolylineShape,
-                       Representation, SegmentShape, induced_order, verify)
+                       GROUNDED_STRING, JShape, LShape, Representation,
+                       _map_shape, induced_order, verify)
 from .ordered import (MPT_PAT, P1, P2, Graph, LinearOrder, OrderedGraph,
                       avoids_patterns, find_pattern_occurrences)
 
@@ -130,10 +130,7 @@ def extend_lj_representation(rep: Representation, og: OrderedGraph,
     depths = [s.depth for s in originals.values()]
     shallow_bound = min(depths)   # new chain stays strictly above this
     deep_bound = max(depths)      # new rails go strictly below this
-    xs: list[Fraction] = []
-    for s in originals.values():
-        xs.append(s.anchor_x)
-        xs.append(s.reach if isinstance(s, LShape) else s.left_end)
+    xs = [x for s in originals.values() for x, _ in s.polyline()]
     left_margin = min(xs) - 1     # W: strictly outside the original extent
     right_margin = max(xs)
     columns = [originals[i].anchor_x for i in range(1, n + 1)]
@@ -197,32 +194,8 @@ def concat_ordered(a: OrderedGraph, b: OrderedGraph) -> OrderedGraph:
     return OrderedGraph(graph, order)
 
 
-def _mirror_shape(shape):
-    if isinstance(shape, LShape):
-        return JShape(-shape.anchor_x, shape.depth, -shape.reach)
-    if isinstance(shape, JShape):
-        return LShape(-shape.anchor_x, shape.depth, -shape.left_end)
-    if isinstance(shape, SegmentShape):
-        return SegmentShape(-shape.anchor_x, -shape.tip_x, shape.tip_y)
-    if isinstance(shape, PolylineShape):
-        return PolylineShape(tuple((-x, y) for x, y in shape.points))
-    raise ValueError(f"cannot mirror shape tag {shape.tag}")
-
-
-def _shift_shape(shape, dx: Fraction):
-    if isinstance(shape, LShape):
-        return LShape(shape.anchor_x + dx, shape.depth, shape.reach + dx)
-    if isinstance(shape, JShape):
-        return JShape(shape.anchor_x + dx, shape.depth, shape.left_end + dx)
-    if isinstance(shape, SegmentShape):
-        return SegmentShape(shape.anchor_x + dx, shape.tip_x + dx, shape.tip_y)
-    if isinstance(shape, PolylineShape):
-        return PolylineShape(tuple((x + dx, y) for x, y in shape.points))
-    raise ValueError(f"cannot translate shape tag {shape.tag}")
-
-
 def _x_extent(rep: Representation) -> tuple:
-    xs = [x for s in rep.shapes.values() for seg in s.segments() for x in (seg[0][0], seg[1][0])]
+    xs = [x for s in rep.shapes.values() for x, _ in s.polyline()]
     return min(xs), max(xs)
 
 
@@ -231,7 +204,7 @@ def mirror_representation(rep: Representation) -> Representation:
     if rep.kind == "MPT":
         raise ValueError("MPT representations cannot be mirrored (bends leave y = -x)")
     kind = GROUNDED_LJ if rep.kind in (GROUNDED_L, GROUNDED_LJ) else rep.kind
-    return Representation(kind, {v: _mirror_shape(s) for v, s in rep.shapes.items()})
+    return Representation(kind, {v: _map_shape(s, -1, 1, 0) for v, s in rep.shapes.items()})
 
 
 def concat_representations(a: Representation, b: Representation) -> Representation:
@@ -249,7 +222,7 @@ def concat_representations(a: Representation, b: Representation) -> Representati
     off = a.n
     shapes = dict(a.shapes)
     for v, s in b.shapes.items():
-        shapes[v + off] = _shift_shape(s, dx)
+        shapes[v + off] = _map_shape(s, 1, 1, dx)
     return Representation(kind, shapes)
 
 

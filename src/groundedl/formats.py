@@ -5,7 +5,9 @@ Graph documents are line-oriented: a header "n m", then m edge lines
 n is at most MAX_GRAPH_ORDER.
 Representation documents are JSON with every coordinate serialized as an
 exact rational string such as "3/2"; JSON numbers are rejected because
-they are floats and exactness is non-negotiable.  A literal has at most
+they are floats and exactness is non-negotiable.  A shape entry holds
+its vertex, its tag and the fields of the tag's shape dataclass; the
+"points" field is a list of [x, y] pairs.  A literal has at most
 MAX_LITERAL_DIGITS decimal digits and a decimal exponent of at most
 MAX_EXPONENT in size, since verification cost grows with the size of
 the coordinates.
@@ -15,11 +17,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .geometry import (KIND_TAGS, JShape, LShape, MptLShape, PolylineShape,
-                       Representation, SegmentShape)
+from .geometry import _SHAPE_CLASSES, KIND_TAGS, Representation
 from .ordered import Graph, LinearOrder, OrderedGraph
 
 __all__ = [
@@ -146,25 +147,23 @@ def emit_graph(og: OrderedGraph) -> str:
 # Representation documents
 # ----------------------------------------------------------------------
 
-_SHAPE_FIELDS = {
-    "L": ("anchor_x", "depth", "reach"),
-    "J": ("anchor_x", "depth", "left_end"),
-    "MPT_L": ("bend_x", "reach", "top"),
-    "SEGMENT": ("anchor_x", "tip_x", "tip_y"),
-    "POLYLINE": ("points",),
-}
-
-_SHAPE_TYPES = {
-    "L": LShape,
-    "J": JShape,
-    "MPT_L": MptLShape,
-    "SEGMENT": SegmentShape,
-    "POLYLINE": PolylineShape,
-}
+#: Document fields of each shape tag: the shape's dataclass fields.
+_FIELDS = {tag: tuple(f.name for f in fields(cls)) for tag, cls in _SHAPE_CLASSES.items()}
 
 
-def _rational_str(value: Fraction) -> str:
+def _emit_field(name: str, value):
+    if name == "points":
+        return [[str(x), str(y)] for x, y in value]
     return str(value)
+
+
+def _parse_field(name: str, value):
+    if name == "points":
+        if not (isinstance(value, list)
+                and all(isinstance(p, list) and len(p) == 2 for p in value)):
+            raise ValueError("points must be a list of [x, y] pairs")
+        return tuple((_parse_rational(x), _parse_rational(y)) for x, y in value)
+    return _parse_rational(value)
 
 
 def _parse_rational(value) -> Fraction:
@@ -187,12 +186,8 @@ def emit_representation(rep: Representation) -> str:
     for v in sorted(rep.shapes):
         shape = rep.shapes[v]
         entry = {"vertex": v, "tag": shape.tag}
-        if shape.tag == "POLYLINE":
-            entry["points"] = [[_rational_str(x), _rational_str(y)]
-                               for x, y in shape.points]
-        else:
-            for f in _SHAPE_FIELDS[shape.tag]:
-                entry[f] = _rational_str(getattr(shape, f))
+        for name in _FIELDS[shape.tag]:
+            entry[name] = _emit_field(name, getattr(shape, name))
         shapes.append(entry)
     return json.dumps({"kind": rep.kind, "shapes": shapes},
                       indent=2, sort_keys=True) + "\n"
@@ -206,7 +201,7 @@ def parse_representation(text: str) -> Representation:
     if not isinstance(doc, dict) or set(doc) != {"kind", "shapes"}:
         raise ValueError("document must be an object with exactly 'kind' and 'shapes'")
     kind = doc["kind"]
-    if kind not in KIND_TAGS:
+    if not isinstance(kind, str) or kind not in KIND_TAGS:
         raise ValueError(f"unknown representation kind {kind!r}")
     if not isinstance(doc["shapes"], list):
         raise ValueError("'shapes' must be a list of shape objects")
@@ -215,9 +210,9 @@ def parse_representation(text: str) -> Representation:
         if not isinstance(entry, dict):
             raise ValueError("each shape must be an object")
         tag = entry.get("tag")
-        if tag not in _SHAPE_FIELDS:
+        if not isinstance(tag, str) or tag not in _FIELDS:
             raise ValueError(f"unknown shape tag {tag!r}")
-        expected = {"vertex", "tag", *_SHAPE_FIELDS[tag]}
+        expected = {"vertex", "tag", *_FIELDS[tag]}
         if set(entry) != expected:
             unknown = set(entry) - expected
             missing = expected - set(entry)
@@ -228,15 +223,6 @@ def parse_representation(text: str) -> Representation:
             raise ValueError(f"vertex id must be an integer, got {vertex!r}")
         if vertex in shapes:
             raise ValueError(f"duplicate vertex id {vertex}")
-        if tag == "POLYLINE":
-            pts = entry["points"]
-            if not (isinstance(pts, list)
-                    and all(isinstance(p, list) and len(p) == 2 for p in pts)):
-                raise ValueError("points must be a list of [x, y] pairs")
-            shape = PolylineShape(tuple(
-                (_parse_rational(p[0]), _parse_rational(p[1])) for p in pts))
-        else:
-            kwargs = {f: _parse_rational(entry[f]) for f in _SHAPE_FIELDS[tag]}
-            shape = _SHAPE_TYPES[tag](**kwargs)
-        shapes[vertex] = shape
+        shapes[vertex] = _SHAPE_CLASSES[tag](
+            **{name: _parse_field(name, entry[name]) for name in _FIELDS[tag]})
     return Representation(kind, shapes)

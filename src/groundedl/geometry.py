@@ -1,15 +1,20 @@
 """Exact rational geometry for grounded intersection representations.
 
 Shapes take and return ``fractions.Fraction`` coordinates and every
-predicate is decided exactly; floats never enter a comparison.  The
-segment predicates only compare, subtract and multiply, so verify,
-intersection_graph and is_one_string run them on Python ints: each
-representation's segments are scaled once, by the LCM of all their
-denominators, which preserves every answer.  shape_crossings computes
-the crossing points in Fractions and is the reference the integer path
-is tested against.  Degenerate contact (touching, overlap, an endpoint
-on another curve) is an error, never a silently resolved case:
-general-position assumptions become validation rules here.
+predicate is decided exactly; floats never enter a comparison.  Each
+shape kind is one dataclass that lists its points along the curve
+(polyline) and rebuilds itself from them (_from_polyline); segments,
+scaling, mirroring and shifting, the document formats and the SVG
+renderer are all written once in those terms.  The segment predicates
+only compare, subtract and multiply, so verify, intersection_graph and
+is_one_string run them on Python ints: each representation's points
+are scaled once, by the LCM of all their denominators, which preserves
+every answer (unless that LCM dwarfs every denominator, when they stay
+Fractions).  shape_crossings computes the crossing points in Fractions
+and is the reference the integer path is tested against.  Degenerate
+contact (touching, overlap, an endpoint on another curve) is an error,
+never a silently resolved case: general-position assumptions become
+validation rules here.
 """
 
 from __future__ import annotations
@@ -79,8 +84,26 @@ def _pt(x, y) -> tuple:
 # Shapes
 # ----------------------------------------------------------------------
 
+class _Shape:
+    """A shape kind is one dataclass: its fields, its tag, its ground_x,
+    its points from one end of the curve to the other (polyline) and
+    the inverse (_from_polyline); segments, every transform, the
+    document formats and the SVG renderer all go through these."""
+
+    def segments(self) -> list:
+        pts = self.polyline()
+        return list(zip(pts, pts[1:]))
+
+
+def _l_or_j(points):
+    """An L or J from its three points; the horizontal's direction
+    picks the class, so a mirrored L comes back as a J."""
+    (a, _), (_, y), (end, _) = points
+    return (LShape if end > a else JShape)(a, -y, end)
+
+
 @dataclass(frozen=True)
-class LShape:
+class LShape(_Shape):
     """Vertical from (anchor_x, 0) down to (anchor_x, -depth), then
     horizontal right to (reach, -depth)."""
 
@@ -102,13 +125,15 @@ class LShape:
     def ground_x(self) -> Fraction:
         return self.anchor_x
 
-    def segments(self) -> list:
-        a, d, r = self.anchor_x, self.depth, self.reach
-        return [((a, Fraction(0)), (a, -d)), ((a, -d), (r, -d))]
+    def polyline(self) -> tuple:
+        a, y = self.anchor_x, -self.depth
+        return ((a, Fraction(0)), (a, y), (self.reach, y))
+
+    _from_polyline = staticmethod(_l_or_j)
 
 
 @dataclass(frozen=True)
-class JShape:
+class JShape(_Shape):
     """Mirror of an L: the horizontal runs left, to (left_end, -depth)."""
 
     anchor_x: Fraction
@@ -129,13 +154,15 @@ class JShape:
     def ground_x(self) -> Fraction:
         return self.anchor_x
 
-    def segments(self) -> list:
-        a, d, l = self.anchor_x, self.depth, self.left_end
-        return [((a, Fraction(0)), (a, -d)), ((l, -d), (a, -d))]
+    def polyline(self) -> tuple:
+        a, y = self.anchor_x, -self.depth
+        return ((a, Fraction(0)), (a, y), (self.left_end, y))
+
+    _from_polyline = staticmethod(_l_or_j)
 
 
 @dataclass(frozen=True)
-class MptLShape:
+class MptLShape(_Shape):
     """L-shape whose bend (bend_x, -bend_x) sits on the line y = -x;
     horizontal right to (reach, -bend_x), vertical up to (bend_x, top)."""
 
@@ -157,13 +184,18 @@ class MptLShape:
     def ground_x(self) -> Fraction:
         return self.bend_x
 
-    def segments(self) -> list:
-        b, r, t = self.bend_x, self.reach, self.top
-        return [((b, -b), (b, t)), ((b, -b), (r, -b))]
+    def polyline(self) -> tuple:
+        b = self.bend_x
+        return ((self.reach, -b), (b, -b), (b, self.top))
+
+    @classmethod
+    def _from_polyline(cls, points):
+        (r, _), (b, _), (_, t) = points
+        return cls(b, r, t)
 
 
 @dataclass(frozen=True)
-class SegmentShape:
+class SegmentShape(_Shape):
     """Straight segment from (anchor_x, 0) to a tip strictly below the axis."""
 
     anchor_x: Fraction
@@ -182,12 +214,17 @@ class SegmentShape:
     def ground_x(self) -> Fraction:
         return self.anchor_x
 
-    def segments(self) -> list:
-        return [((self.anchor_x, Fraction(0)), (self.tip_x, self.tip_y))]
+    def polyline(self) -> tuple:
+        return ((self.anchor_x, Fraction(0)), (self.tip_x, self.tip_y))
+
+    @classmethod
+    def _from_polyline(cls, points):
+        (a, _), (x, y) = points
+        return cls(a, x, y)
 
 
 @dataclass(frozen=True)
-class PolylineShape:
+class PolylineShape(_Shape):
     """Piecewise-linear string anchored on the axis, rest strictly below.
 
     Construction validates the per-string general-position rules: every
@@ -232,8 +269,16 @@ class PolylineShape:
     def ground_x(self) -> Fraction:
         return self.points[0][0]
 
-    def segments(self) -> list:
-        return list(zip(self.points, self.points[1:]))
+    def polyline(self) -> tuple:
+        return self.points
+
+    @classmethod
+    def _from_polyline(cls, points):
+        return cls(points)
+
+
+#: Shape class by tag, one entry per _Shape subclass.
+_SHAPE_CLASSES = {cls.tag: cls for cls in _Shape.__subclasses__()}
 
 
 GROUNDED_L = "GROUNDED_L"
@@ -424,13 +469,19 @@ def shape_crossings(a, b) -> list:
 def _integer_segments(rep: Representation) -> list:
     """(vertex, segments) per shape in vertex order, every coordinate
     multiplied by the LCM of all the denominators: one exact positive
-    scaling to ints, under which every predicate keeps its answer."""
-    segs = [(v, rep.shapes[v].segments()) for v in sorted(rep.shapes)]
-    scale = lcm(*{c.denominator for _, ss in segs for seg in ss for pt in seg for c in pt})
-    return [(v, [tuple((x.numerator * (scale // x.denominator),
-                        y.numerator * (scale // y.denominator)) for x, y in seg)
-                 for seg in ss])
-            for v, ss in segs]
+    scaling to ints, under which every predicate keeps its answer.
+
+    When that LCM outgrows the largest denominator by far (many large
+    coprime denominators), the ints would be far longer than the
+    Fractions, so the segments stay in Fractions instead."""
+    lines = [(v, rep.shapes[v].polyline()) for v in sorted(rep.shapes)]
+    dens = {c.denominator for _, pts in lines for pt in pts for c in pt}
+    scale = lcm(*dens)
+    if scale.bit_length() <= 2 * max(dens, default=1).bit_length() + 64:
+        lines = [(v, [(x.numerator * (scale // x.denominator),
+                       y.numerator * (scale // y.denominator)) for x, y in pts])
+                 for v, pts in lines]
+    return [(v, list(zip(pts, pts[1:]))) for v, pts in lines]
 
 
 def _pairwise_crossings(rep: Representation):
@@ -503,18 +554,9 @@ def is_one_string(rep: Representation) -> bool:
     return True
 
 
-def _scale_shape(shape, f: Fraction):
-    if isinstance(shape, LShape):
-        return LShape(shape.anchor_x * f, shape.depth * f, shape.reach * f)
-    if isinstance(shape, JShape):
-        return JShape(shape.anchor_x * f, shape.depth * f, shape.left_end * f)
-    if isinstance(shape, MptLShape):
-        return MptLShape(shape.bend_x * f, shape.reach * f, shape.top * f)
-    if isinstance(shape, SegmentShape):
-        return SegmentShape(shape.anchor_x * f, shape.tip_x * f, shape.tip_y * f)
-    if isinstance(shape, PolylineShape):
-        return PolylineShape(tuple((x * f, y * f) for x, y in shape.points))
-    raise TypeError(f"unknown shape {shape!r}")
+def _map_shape(shape, fx, fy, dx):
+    """The shape under (x, y) -> (fx*x + dx, fy*y)."""
+    return shape._from_polyline(tuple((fx * x + dx, fy * y) for x, y in shape.polyline()))
 
 
 def scale_representation(rep: Representation, factor) -> Representation:
@@ -522,4 +564,4 @@ def scale_representation(rep: Representation, factor) -> Representation:
     f = coord(factor)
     if f <= 0:
         raise ValueError("scale factor must be positive")
-    return Representation(rep.kind, {v: _scale_shape(s, f) for v, s in rep.shapes.items()})
+    return Representation(rep.kind, {v: _map_shape(s, f, f, 0) for v, s in rep.shapes.items()})

@@ -69,19 +69,8 @@ def greedy_cutoffs(types, ranks, pos_edges, n: int) -> tuple:
 
 def certificate_edges(cert: LjCertificate) -> frozenset:
     """Replay the crossing rule: the position pairs the certificate realizes."""
-    n = len(cert.types)
-    types, ranks, cuts = cert.types, cert.depth_ranks, cert.cutoffs
-    out = set()
-    for i in range(1, n + 1):
-        if types[i - 1] == "L":
-            for j in range(i + 1, cuts[i - 1] + 1):
-                if ranks[j - 1] > ranks[i - 1]:
-                    out.add((i, j))
-        else:
-            for j in range(cuts[i - 1], i):
-                if ranks[j - 1] > ranks[i - 1]:
-                    out.add((j, i))
-    return frozenset(out)
+    return frozenset((i, j) if i < j else (j, i)
+                     for i, cover in enumerate(cover_sets(cert), start=1) for j in cover)
 
 
 def cover_sets(cert: LjCertificate) -> list:

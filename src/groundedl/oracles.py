@@ -9,23 +9,20 @@ prefix is cut as soon as an edge has no route or the forced inequalities
 are cyclic.  The depth ranks of the first feasible vector come from a
 backtracking search that re-checks only the edges touching the newly
 ranked position and forward-checks half-assigned inequalities against
-the unused ranks.  recognize drives the order search for a whole class.
-seg_witness_search is a randomized, explicitly incomplete witness finder
-for grounded segments.
+the unused ranks.  recognize drives the order search for a whole class;
+for GROUNDED_LJ it tries the least order of each shift/reversal class.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 
 from .builders import build_grounded_l, build_mpt, realize_lj
-from .geometry import GROUNDED_SEG, Representation, SegmentShape, verify
+from .geometry import Representation, verify
 from .ljmodel import LjCertificate, greedy_cutoffs
 from .ordered import (INT_PAT, MPT_PAT, P1, P2, Graph, LinearOrder,
-                      OrderedGraph, SearchBoundExceeded, canonical_order_key,
+                      OrderedGraph, SearchBoundExceeded,
                       enumerate_avoiding_orders)
 
 __all__ = [
@@ -33,7 +30,6 @@ __all__ = [
     "RecognitionResult",
     "lj_feasible",
     "recognize",
-    "seg_witness_search",
     "CLASS_GROUNDED_L",
     "CLASS_MPT",
     "CLASS_INTERVAL",
@@ -264,14 +260,12 @@ def lj_feasible(og: OrderedGraph, allowed=("L", "J"),
 
 
 def _dedup_orders(n: int):
-    """One order per shift/reversal equivalence class, lexicographically."""
-    seen = set()
-    for perm in permutations(range(1, n + 1)):
-        key = canonical_order_key(perm)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield perm
+    """One order per shift/reversal equivalence class, lexicographically:
+    the least member of a class starts at 1 and, for n >= 3, has its
+    second entry below its last."""
+    for rest in permutations(range(2, n + 1)):
+        if n < 3 or rest[0] < rest[-1]:
+            yield (1,) + rest
 
 
 def recognize(g: Graph, class_id: str, budget: int | None = None,
@@ -321,33 +315,3 @@ def recognize(g: Graph, class_id: str, budget: int | None = None,
         return RecognitionResult(member=False)
 
     raise ValueError(f"unknown class id {class_id!r}")
-
-
-def seg_witness_search(og: OrderedGraph, trials: int = 1000,
-                       seed: int = 0) -> Representation | None:
-    """Randomized grounded-segment witness search for og's order.
-
-    Samples tips from slope/length grids with rational perturbations at
-    the prescribed anchors and returns the first representation passing
-    verification.  Absence of a witness proves nothing: the search is
-    incomplete by design and never claims non-representability.
-    """
-    n = og.n
-    rng = random.Random(seed)
-    span = n + 1
-    dx_grid = [Fraction(k, 2) for k in range(-2 * span, 2 * span + 1)]
-    dy_grid = [Fraction(k, 2) for k in range(1, 2 * span + 1)]
-    for _ in range(trials):
-        shapes = {}
-        for i in range(1, n + 1):
-            dx = rng.choice(dx_grid) + Fraction(rng.randint(-18, 18), 37)
-            dy = rng.choice(dy_grid) + Fraction(rng.randint(0, 40), 41)
-            shapes[og.vertex_at(i)] = SegmentShape(Fraction(i), i + dx, -dy)
-        try:
-            rep = Representation(GROUNDED_SEG, shapes)
-        except ValueError:
-            continue
-        report = verify(rep, og)
-        if report.ok:
-            return rep
-    return None

@@ -1,8 +1,9 @@
 """Deterministic SVG rendering of grounded representations.
 
-Output is plain string assembly with exact-decimal coordinate formatting
-(integer arithmetic only), so identical input yields byte-identical SVG
-on every platform and run.
+Each shape is drawn as one polyline element through the points of its
+polyline().  Output is plain string assembly with exact-decimal
+coordinate formatting (integer arithmetic only), so identical input
+yields byte-identical SVG on every platform and run.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def render_svg(rep: Representation, width: int = 640, scale=None,
     when labels is set.  width fixes the output pixel width unless an
     explicit scale (pixels per unit) is given.
     """
-    pts = [p for s in rep.shapes.values() for seg in s.segments() for p in seg]
+    pts = [p for s in rep.shapes.values() for p in s.polyline()]
     if pts:
         min_x = min(p[0] for p in pts)
         max_x = max(p[0] for p in pts)
@@ -81,18 +82,7 @@ def render_svg(rep: Representation, width: int = 640, scale=None,
             f'stroke-dasharray="4 3"/>')
     for idx, v in enumerate(sorted(rep.shapes)):
         shape = rep.shapes[v]
-        segs = shape.segments()
-        chain = [segs[0][0], segs[0][1]]
-        for a, b in segs[1:]:
-            if a == chain[-1]:
-                chain.append(b)
-            elif b == chain[-1]:
-                chain.append(a)
-            elif a == chain[0]:
-                chain.insert(0, b)
-            else:
-                chain.insert(0, a)
-        points = " ".join(f"{X(x)},{Y(y)}" for x, y in chain)
+        points = " ".join(f"{X(x)},{Y(y)}" for x, y in shape.polyline())
         color = _PALETTE[idx % len(_PALETTE)]
         out.append(f'  <polyline class="shape" data-vertex="{v}" points="{points}" '
                    f'fill="none" stroke="{color}" stroke-width="2"/>')

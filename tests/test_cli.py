@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import time
 
 import pytest
 
@@ -161,6 +162,8 @@ def _c4_rep_with(files, edit) -> str:
     (lambda d: d["shapes"][0].update(reach="1" * 1001), "more than 1000 digits"),
     (lambda d: d.update(kind="GROUNDED_STRING", shapes=[
         {"vertex": 1, "tag": "POLYLINE", "points": [1, 2]}]), "points must be"),
+    (lambda d: d["shapes"][0].update(tag=["L"]), "unknown shape tag ['L']"),
+    (lambda d: d.update(kind=["GROUNDED_L"]), "unknown representation kind ['GROUNDED_L']"),
 ])
 def test_verify_hostile_representation_exits_2(files, capsys, edit, message):
     code, out, err = run(capsys, "verify", "-g", str(files / "c4.graph"),
@@ -175,3 +178,12 @@ def test_match_huge_header_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "match", "-g", str(bad), "-p", "P1")
     assert code == 2 and out == ""
     assert err == "error: graph order 99999999999 exceeds the limit 10000\n"
+
+
+def test_match_absent_on_large_empty_graph_is_fast(tmp_path, capsys):
+    empty = tmp_path / "empty.graph"
+    empty.write_text("400 0\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "match", "-g", str(empty), "-p", "P1", "--all")
+    assert code == 1 and out == ""
+    assert time.perf_counter() - start < 1.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -296,3 +297,20 @@ def _strings(*shapes) -> Representation:
                   PolylineShape(((1, 0), (1, -1), (3, -2)))))
 def test_integer_kernel_matches_reference_on_touching_shapes(rep):
     assert list(_pairwise_crossings(rep)) == _reference_crossings(rep)
+
+
+def test_coprime_large_denominators_stay_fast():
+    """120 distinct 300-digit odd denominators: one common integer scale
+    would be about 120 000 bits long, so the kernel keeps the Fractions."""
+    base = 10 ** 299
+    shapes = {}
+    for i in range(1, 41):
+        e1, e2, e3 = (F(1, base + 6 * i + k) for k in (1, 3, 5))
+        dx = 3 if i % 2 else -3
+        shapes[i] = SegmentShape(i + e1, i + dx + e2, -1 - i % 2 - e3)
+    rep = Representation(GROUNDED_SEG, shapes)
+    start = time.perf_counter()
+    graph = intersection_graph(rep)
+    assert time.perf_counter() - start < 2.0
+    assert [(u, v, count) for u, v, count, _ in _reference_crossings(rep) if count] == \
+        [(u, v, 1) for u, v in sorted(graph.edges)]

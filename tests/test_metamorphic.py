@@ -5,12 +5,15 @@ the {L, J} witness of gadget I."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from groundedl import (OrderedGraph, build_grounded_l, concat_ordered,
-                       concat_representations, lj_feasible, mirror_ordered,
-                       mirror_representation, realize_lj,
-                       scale_representation, verify)
+from groundedl import (JShape, LShape, OrderedGraph, build_grounded_l,
+                       build_mpt, concat_ordered, concat_representations,
+                       lj_feasible, mirror_ordered, mirror_representation,
+                       realize_lj, scale_representation, verify)
+from groundedl.geometry import _map_shape
 from conftest import all_graphs, natural
 
 
@@ -70,3 +73,23 @@ def test_mirror_ordered_swaps_l_and_j(n):
         assert (lj_feasible(og, ("L",)) is None) == (lj_feasible(mog, ("J",)) is None)
         assert (lj_feasible(og, ("J",)) is None) == (lj_feasible(mog, ("L",)) is None)
         assert (lj_feasible(og) is None) == (lj_feasible(mog) is None)
+
+
+def test_map_shape_round_trips_a_mirror(gadget_i):
+    swap = {LShape: JShape, JShape: LShape}
+    for rep, _ in _cases(gadget_i):
+        for shape in rep.shapes.values():
+            mirrored = _map_shape(shape, -1, 1, 0)
+            assert type(mirrored) is swap[type(shape)]
+            assert mirrored.polyline() == tuple((-x, y) for x, y in shape.polyline())
+            assert _map_shape(mirrored, -1, 1, 0) == shape
+
+
+def test_map_shape_round_trips_a_scaling_and_a_shift(gadget_i):
+    third, dx = Fraction(1, 3), Fraction(5, 2)
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            for shape in build_mpt(natural(g)).shapes.values():
+                assert _map_shape(_map_shape(shape, 3, 3, 0), third, third, 0) == shape
+    for shape in _lj_witness(gadget_i).shapes.values():
+        assert _map_shape(_map_shape(shape, 1, 1, dx), 1, 1, -dx) == shape

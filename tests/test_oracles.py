@@ -9,7 +9,7 @@ from groundedl import (CLASS_GROUNDED_L, CLASS_GROUNDED_LJ, CLASS_INTERVAL,
                        CLASS_MPT, Graph, LinearOrder, OrderedGraph,
                        SearchBoundExceeded, avoids_patterns, cycle_graph,
                        empty_graph, lj_feasible, path_graph, realize_lj,
-                       recognize, seg_witness_search, verify, is_one_string,
+                       recognize, verify, is_one_string,
                        P1, P2)
 from groundedl.ljmodel import certificate_edges, greedy_cutoffs
 from conftest import all_graphs, natural
@@ -256,34 +256,3 @@ def test_grounded_l_member_implies_lj_member():
         g = Graph(n, edges)
         if recognize(g, CLASS_GROUNDED_L).member:
             assert recognize(g, CLASS_GROUNDED_LJ).member
-
-
-# ----------------------------------------------------------------------
-# segment witness search
-# ----------------------------------------------------------------------
-
-def test_seg_witness_triangle():
-    og = natural(cycle_graph(3))
-    rep = seg_witness_search(og, trials=2000, seed=0)
-    assert rep is not None
-    assert verify(rep, og).ok
-
-
-def test_seg_witness_path():
-    og = natural(path_graph(3))
-    rep = seg_witness_search(og, trials=2000, seed=0)
-    assert rep is not None
-    assert verify(rep, og).ok
-
-
-def test_seg_witness_single_vertex():
-    og = natural(Graph(1))
-    rep = seg_witness_search(og, trials=5, seed=0)
-    assert rep is not None and verify(rep, og).ok
-
-
-def test_seg_witness_deterministic_per_seed():
-    og = natural(cycle_graph(3))
-    a = seg_witness_search(og, trials=500, seed=9)
-    b = seg_witness_search(og, trials=500, seed=9)
-    assert a == b
